@@ -10,6 +10,7 @@ this object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -114,6 +115,44 @@ class AuditGame:
     def costs(self) -> np.ndarray:
         """Audit-cost vector ``C``."""
         return self.alert_types.costs
+
+    @cached_property
+    def representative_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(adversary, victim) indices of the master LP's deduplicated rows.
+
+        ``Ua(o, b, <e, v>)`` depends on the victim only through the
+        trigger probabilities ``P[e, v, :]`` and the payoffs
+        ``(R, M, K)[e, v]``, for *every* ordering; victims with identical
+        signatures (compared after rounding to 12 decimals, ``-0.0`` equal
+        to ``0.0``) always yield identical constraint rows, so one
+        representative per signature suffices.  In the paper's real-data
+        games this shrinks the LP from |E| x |V| rows to
+        |E| x (#alert types + 1).
+
+        Rows come adversary-major, each adversary's in first-victim
+        order.  The set depends only on the game, so it is computed once
+        per game and every master LP built for it reads these same
+        (read-only) arrays.
+        """
+        n_e, n_v = self.n_adversaries, self.n_victims
+        payoffs = self.payoffs
+        signatures = np.concatenate(
+            [
+                self.attack_map.probabilities,
+                payoffs.benefit[..., None],
+                payoffs.penalty[..., None],
+                payoffs.attack_cost[..., None],
+            ],
+            axis=2,
+        ).reshape(n_e * n_v, self.n_types + 3)
+        keyed = np.column_stack(
+            [np.repeat(np.arange(n_e), n_v), np.round(signatures, 12) + 0.0]
+        )
+        _, first = np.unique(keyed, axis=0, return_index=True)
+        e_rows, v_rows = np.divmod(np.sort(first), n_v)
+        e_rows.flags.writeable = False
+        v_rows.flags.writeable = False
+        return e_rows, v_rows
 
     def threshold_upper_bounds(self) -> np.ndarray:
         """Paper's ``J_t``: budget needed to audit the max count, per type.

@@ -28,10 +28,13 @@ and are bit-for-bit identical to the ``workers=1`` serial path.
 
 Because enumeration solvers are memoized per ``(backend, options)``
 (here and inside each pool worker), every vector priced through one
-shares that solver's LP skeleton and representative-row set — the
-structurally identical master LPs of a sweep are assembled from one set
-of static blocks instead of being rebuilt per vector (see
-:class:`repro.solvers.master.MasterSkeleton`).
+shares that solver's LP skeleton — the structurally identical master
+LPs of a sweep are assembled from one set of static blocks instead of
+being rebuilt per vector (see
+:class:`repro.solvers.master.MasterSkeleton`).  The deduplicated LP row
+set underneath is computed once per game
+(:attr:`repro.core.game.AuditGame.representative_rows`), so every
+solver and every vector of that game reads the same arrays.
 """
 
 from __future__ import annotations

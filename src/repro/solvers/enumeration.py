@@ -102,13 +102,10 @@ class EnumerationSolver:
         self.subset_table = bool(subset_table)
         self.kernel_backend = resolve_kernel_backend(kernel_backend)
         self.prune = bool(prune)
-        # Shared across every solve of this instance: the deduplicated
-        # LP rows depend only on the game, the skeleton additionally on
-        # the (fixed) column count |T|!.
-        self._rep_rows = PolicyContext.representative_rows_for(game)
-        self._skeleton = MasterSkeleton(
-            game, self._rep_rows[0], n_orderings
-        )
+        # Shared across every solve of this instance: the skeleton
+        # depends on the game's deduplicated LP rows and the (fixed)
+        # column count |T|!.
+        self._skeleton = MasterSkeleton(game, n_orderings)
 
     def solve(self, thresholds: np.ndarray) -> FixedThresholdSolution:
         """Optimal restricted-strategy-space mixed policy for ``b``."""
@@ -119,7 +116,6 @@ class EnumerationSolver:
                 thresholds,
                 subset_table=self.subset_table,
                 kernel_backend=self.kernel_backend,
-                representative_rows=self._rep_rows,
             )
         )
 
@@ -150,7 +146,6 @@ class EnumerationSolver:
             self._orderings,
             subset_table=self.subset_table,
             kernel_backend=self.kernel_backend,
-            representative_rows=self._rep_rows,
         )
         return [self._solve_context(context) for context in contexts]
 

@@ -156,9 +156,10 @@ class PolicyContext:
     prices every one-type extension of the current prefix in one
     vectorized sweep via :meth:`extension_utilities`).
 
-    ``representative_rows`` lets callers that build many contexts for
-    one game (batched pricing) share the deduplicated LP row set instead
-    of recomputing it per context.
+    :attr:`representative_rows` is the game's deduplicated LP row set
+    (:attr:`~repro.core.game.AuditGame.representative_rows`), computed
+    once per game, so every context built for one game reads the same
+    arrays.
     """
 
     def __init__(
@@ -169,7 +170,6 @@ class PolicyContext:
         *,
         subset_table: bool | str = False,
         kernel_backend: str = "auto",
-        representative_rows: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         self.game = game
         self.scenarios = scenarios
@@ -182,11 +182,6 @@ class PolicyContext:
         self._pal_cache: dict[tuple[int, ...], np.ndarray] = {}
         self._utility_cache: dict[tuple[int, ...], np.ndarray] = {}
         self._costs = game.costs
-        self._rows = (
-            representative_rows
-            if representative_rows is not None
-            else self.representative_rows_for(game)
-        )
         self.subset_table = _coerce_subset_table(subset_table)
         # Validate the knob at construction time (typos and an explicit
         # "numba" without the dependency fail here, not mid-solve); the
@@ -195,53 +190,10 @@ class PolicyContext:
         self._pricer: OrderingPricer | None = None
         self._table: PalTable | LazyPalTable | None = None
 
-    @classmethod
-    def representative_rows_for(
-        cls, game: AuditGame
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Collapse duplicate attack rows of the master LP.
-
-        ``Ua(o, b, <e, v>)`` depends on the victim only through the trigger
-        probabilities ``P[e, v, :]`` and the payoffs ``(R, M, K)[e, v]``,
-        for *every* ordering; victims with identical signatures always
-        yield identical constraint rows, so one representative per
-        signature suffices.  In the paper's real-data games this shrinks
-        the LP from |E| x |V| rows to |E| x (#alert types + 1).
-
-        Depends only on the game (not thresholds or scenarios), so
-        batched-pricing callers compute it once and pass it to every
-        context they build.
-        """
-        probs = game.attack_map.probabilities
-        payoffs = game.payoffs
-        e_rows: list[int] = []
-        v_rows: list[int] = []
-        for e in range(game.n_adversaries):
-            seen: set[tuple] = set()
-            for v in range(game.n_victims):
-                signature = (
-                    tuple(np.round(probs[e, v], 12)),
-                    round(float(payoffs.benefit[e, v]), 12),
-                    round(float(payoffs.penalty[e, v]), 12),
-                    round(float(payoffs.attack_cost[e, v]), 12),
-                )
-                if signature in seen:
-                    continue
-                seen.add(signature)
-                e_rows.append(e)
-                v_rows.append(v)
-        return (
-            np.asarray(e_rows, dtype=np.int64),
-            np.asarray(v_rows, dtype=np.int64),
-        )
-
-    # Backwards-compatible private alias (older call sites/tests).
-    _representative_rows = representative_rows_for
-
     @property
     def representative_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(adversary, victim) indices of the deduplicated LP rows."""
-        return self._rows
+        return self.game.representative_rows
 
     def _kernel(self) -> OrderingPricer | PalTable | LazyPalTable:
         """The pricing kernel for cache misses (validated exactly once)."""
@@ -393,12 +345,8 @@ class MasterSkeleton:
 
     __slots__ = ("n_q", "n_e", "n_rows", "u_block", "a_eq", "c", "bounds")
 
-    def __init__(
-        self,
-        game: AuditGame,
-        e_rows: np.ndarray,
-        n_q: int,
-    ) -> None:
+    def __init__(self, game: AuditGame, n_q: int) -> None:
+        e_rows, _ = game.representative_rows
         self.n_q = n_q
         self.n_e = game.n_adversaries
         self.n_rows = len(e_rows)
@@ -532,7 +480,7 @@ class MasterProblem:
         """Assemble the restricted LP in scipy general form.
 
         One ``<=`` row per *representative* attack (see
-        :meth:`PolicyContext.representative_rows_for`):
+        :attr:`~repro.core.game.AuditGame.representative_rows`):
         ``sum_o p_o Ua_o[e, v] - u_e <= 0``.  Assembly copies the cached
         column store and static blocks; nothing is re-priced.
         """
@@ -845,7 +793,6 @@ def batch_policy_contexts(
     *,
     subset_table: bool | None = None,
     kernel_backend: str = "auto",
-    representative_rows: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[PolicyContext]:
     """One pre-warmed :class:`PolicyContext` per threshold vector.
 
@@ -865,9 +812,6 @@ def batch_policy_contexts(
       once for the whole pass) and planted into the per-vector caches;
       the batched walk shares the serial kernel's pairwise expectation
       reduction, so the seeded rows equal the serial rows bitwise.
-
-    ``representative_rows`` (shared LP row dedup) is computed once here
-    when not supplied and reused by every context in the batch.
     """
     arr = np.asarray(thresholds_batch, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != game.n_types:
@@ -877,8 +821,6 @@ def batch_policy_contexts(
         )
     if subset_table is None:
         subset_table = subset_table_pays(len(orderings), game.n_types)
-    if representative_rows is None:
-        representative_rows = PolicyContext.representative_rows_for(game)
     if subset_table:
         return [
             PolicyContext(
@@ -887,7 +829,6 @@ def batch_policy_contexts(
                 b,
                 subset_table=True,
                 kernel_backend=kernel_backend,
-                representative_rows=representative_rows,
             )
             for b in arr
         ]
@@ -897,7 +838,6 @@ def batch_policy_contexts(
             scenarios,
             b,
             kernel_backend=kernel_backend,
-            representative_rows=representative_rows,
         )
         for b in arr
     ]

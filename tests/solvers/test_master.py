@@ -35,7 +35,8 @@ class TestPolicyContext:
             PolicyContext(syn_a_game, syn_a_scenarios, np.zeros(3))
 
     def test_representative_rows_collapse(self, context, syn_a_game):
-        e_rows, v_rows = context.representative_rows
+        assert context.representative_rows is syn_a_game.representative_rows
+        e_rows, v_rows = syn_a_game.representative_rows
         # Syn A has at most 5 distinct alert-type signatures per
         # adversary (4 types + benign), far fewer than 8 victims.
         assert len(e_rows) < (
@@ -51,7 +52,7 @@ class TestMasterProblem:
         master.add_ordering(Ordering((0, 1, 2, 3)))
         master.add_ordering(Ordering((1, 0, 2, 3)))
         lp = master.build_lp()
-        n_rows = len(context.representative_rows[0])
+        n_rows = len(syn_a_game.representative_rows[0])
         assert lp.a_ub.shape == (
             n_rows, 2 + syn_a_game.n_adversaries
         )

@@ -257,8 +257,12 @@ class TestSkeletonReuse:
     def test_skeleton_changes_nothing(
         self, syn_a_game, syn_a_scenarios
     ):
-        rows = PolicyContext.representative_rows_for(syn_a_game)
-        skeleton = MasterSkeleton(syn_a_game, rows[0], 24)
+        skeleton = MasterSkeleton(syn_a_game, 24)
+        e_rows, _ = syn_a_game.representative_rows
+        assert skeleton.n_rows == len(e_rows)
+        np.testing.assert_array_equal(
+            skeleton.u_block.argmin(axis=1), e_rows
+        )
         context = PolicyContext(
             syn_a_game, syn_a_scenarios, THRESHOLD_GRID[1]
         )
@@ -275,8 +279,7 @@ class TestSkeletonReuse:
     def test_mismatched_skeleton_is_ignored(
         self, syn_a_game, syn_a_scenarios
     ):
-        rows = PolicyContext.representative_rows_for(syn_a_game)
-        skeleton = MasterSkeleton(syn_a_game, rows[0], 99)  # wrong n_q
+        skeleton = MasterSkeleton(syn_a_game, 99)  # wrong n_q
         context = PolicyContext(
             syn_a_game, syn_a_scenarios, THRESHOLD_GRID[0]
         )
