@@ -2,7 +2,8 @@
 
 Two interchangeable engines solve every LP in the library:
 
-* ``"scipy"`` — HiGHS via :func:`scipy.optimize.linprog` (default, fast);
+* ``"scipy"`` — HiGHS through the binding scipy bundles (default,
+  fast; see :mod:`repro.solvers.lp.scipy_backend`);
 * ``"simplex"`` — the from-scratch revised simplex in
   :mod:`repro.solvers.lp.simplex` (no dependency beyond numpy, used for
   cross-validation, by the LP-backend ablation benchmark, and whenever a
@@ -15,11 +16,16 @@ cold-solve, so callers can pass a basis unconditionally and let the
 backend decide (the :class:`~repro.solvers.master.MasterProblem`
 contract).
 
-The scipy path degrades gracefully: when HiGHS raises or reports
-``NUMERICAL_ERROR``, the same problem is re-solved with the in-repo
-simplex backend (counted on ``repro_lp_backend_fallbacks_total``), so
-one flaky native solve cannot take a sweep down.  INFEASIBLE and
-UNBOUNDED are legitimate answers and are returned as-is.
+Each backend degrades to the other, so one failed solve cannot take a
+sweep down:
+
+* when HiGHS raises or reports ``NUMERICAL_ERROR``, the same problem is
+  re-solved with the in-repo simplex;
+* when the simplex raises or reports ``ITERATION_LIMIT`` or
+  ``NUMERICAL_ERROR``, it is re-solved with HiGHS as a last resort.
+
+Each retry is counted on ``repro_lp_backend_fallbacks_total``.
+INFEASIBLE and UNBOUNDED are legitimate answers and are returned as-is.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import Callable
 from ... import obs
 from .problem import BasisTag, LinearProgram, LPSolution, LPStatus
 from .scipy_backend import solve_with_scipy
-from .simplex import solve_with_simplex
+from .simplex import SimplexSolver, solve_with_simplex
 
 __all__ = [
     "solve_lp",
@@ -44,6 +50,12 @@ DEFAULT_BACKEND = "scipy"
 _BACKENDS: dict[str, Callable[[LinearProgram], LPSolution]] = {
     "scipy": solve_with_scipy,
     "simplex": solve_with_simplex,
+}
+
+#: Simplex outcomes retried on HiGHS, with the ``error`` label counted.
+_SIMPLEX_RETRY = {
+    LPStatus.ITERATION_LIMIT: "iteration_limit",
+    LPStatus.NUMERICAL_ERROR: "numerical",
 }
 
 #: Backends whose solver accepts a ``warm_basis`` and exposes the final
@@ -89,13 +101,9 @@ def solve_lp(
             f"choose from {available_backends()}"
         ) from None
     if backend == "simplex":
-        if warm_basis is not None:
-            return engine(
-                problem,
-                warm_basis=warm_basis,
-                factorization=factorization,
-            )
-        return engine(problem, factorization=factorization)
+        return _solve_simplex_with_fallback(
+            problem, warm_basis, factorization
+        )
     if backend == "scipy":
         return _solve_scipy_with_fallback(problem)
     return engine(problem)
@@ -121,4 +129,40 @@ def _solve_scipy_with_fallback(problem: LinearProgram) -> LPSolution:
             error="numerical",
         )
         return solve_with_simplex(problem)
+    return solution
+
+
+def _solve_simplex_with_fallback(
+    problem: LinearProgram,
+    warm_basis: tuple[BasisTag, ...] | None,
+    factorization: str,
+) -> LPSolution:
+    """Simplex with a last-resort HiGHS retry when a cold solve fails.
+
+    A warm-started solve is returned as the simplex left it: its caller
+    (:meth:`repro.solvers.master.MasterProblem.solve`) degrades a failed
+    warm start to a cold solve first, and that cold solve is the one
+    that gets the HiGHS retry.
+    """
+    solver = SimplexSolver(factorization=factorization)
+    if warm_basis is not None:
+        return solver.solve(problem, warm_basis=warm_basis)
+    try:
+        solution = solver.solve(problem)
+    except Exception as exc:
+        obs.counter(
+            "repro_lp_backend_fallbacks_total",
+            from_backend="simplex",
+            to_backend="scipy",
+            error=type(exc).__name__,
+        )
+        return solve_with_scipy(problem)
+    if solution.status in _SIMPLEX_RETRY:
+        obs.counter(
+            "repro_lp_backend_fallbacks_total",
+            from_backend="simplex",
+            to_backend="scipy",
+            error=_SIMPLEX_RETRY[solution.status],
+        )
+        return solve_with_scipy(problem)
     return solution

@@ -123,8 +123,8 @@ class LPSolution:
     """Primal/dual result of an LP solve.
 
     ``basis`` is the optimal basis in semantic :data:`BasisTag` form when
-    the backend exposes one (the from-scratch simplex does; HiGHS via
-    ``scipy.optimize.linprog`` does not), enabling warm-started re-solves
+    the backend exposes one (the from-scratch simplex does; the HiGHS
+    backend does not), enabling warm-started re-solves
     of structurally related problems.
     """
 
