@@ -65,6 +65,20 @@ def _check_zero_rule(zero_count_rule: str) -> None:
         )
 
 
+def _check_thresholds(b: np.ndarray) -> None:
+    """Reject negative and NaN thresholds (``+inf`` is a valid quota).
+
+    ``b.min() < 0`` alone is False for NaN, which would otherwise reach
+    the kernels and the LP.
+    """
+    if np.isnan(b).any():
+        raise ValueError(f"thresholds must not be NaN, got {b.tolist()}")
+    if b.size and b.min() < 0:
+        raise ValueError(
+            f"thresholds must be non-negative, got {b.tolist()}"
+        )
+
+
 def _check_inputs(
     thresholds: np.ndarray, costs: np.ndarray, budget: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -75,8 +89,7 @@ def _check_inputs(
             f"thresholds {b.shape} and costs {c.shape} must be equal-length "
             "vectors"
         )
-    if b.min() < 0:
-        raise ValueError("thresholds must be non-negative")
+    _check_thresholds(b)
     if c.min() <= 0:
         raise ValueError("audit costs must be positive")
     if budget < 0:
@@ -249,8 +262,7 @@ def _check_batch_inputs(
             f"thresholds {b.shape} and costs {c.shape} disagree on the "
             "number of types"
         )
-    if b.size and b.min() < 0:
-        raise ValueError("thresholds must be non-negative")
+    _check_thresholds(b)
     if c.min() <= 0:
         raise ValueError("audit costs must be positive")
     if budget < 0:

@@ -35,16 +35,28 @@ fallback — bitwise-equal either way, because every backend reduces its
 product buffers through the one shared pairwise reduction
 (:func:`~repro.core.kernels.expectation_reduce`).
 
-The legacy walk remains the reference implementation and the better
-choice when few orderings share one ``(b, Z)`` — CGGS column generation
-(a handful of columns, many *partial* prefixes, large ``T``) and policy
-evaluation (small supports).  :func:`subset_table_pays` encodes the
-break-even point used by the dispatching call sites.
+Pricing many threshold vectors against one scenario set (brute force,
+ISHM probes) repeats most entries: ``table[t, S]`` reads the thresholds
+only through ``b_s`` for ``s`` in ``S`` and the quota ``floor(b_t /
+C_t)``.  :class:`PalEntryMemo` keeps those entries across the tables of
+one solver, so a build sweeps only the entries it has not seen (1940 of
+the 7712 on Syn A's ``B = 3`` brute-force grid).
+
+The legacy walk (:class:`~repro.core.detection.OrderingPricer`) remains
+the reference implementation and the path for small ordering sets:
+policy evaluation over small supports and the simulator's
+single-ordering lookups.
+CGGS column generation visits only the masks along its greedy
+construction paths and prices them through :class:`LazyPalTable`.
+:func:`subset_table_pays` is the break-even point at which pricing a
+fixed ordering set from the eager table beats walking each ordering.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import functools
+import itertools
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,6 +68,7 @@ from .policy import Ordering
 
 __all__ = [
     "LazyPalTable",
+    "PalEntryMemo",
     "PalTable",
     "subset_table_pays",
     "SUBSET_TABLE_TYPE_LIMIT",
@@ -70,34 +83,172 @@ SUBSET_TABLE_TYPE_LIMIT = 12
 #: in float64 elements); larger scenario sets are swept in chunks.
 _DP_ELEMENT_BUDGET = 1 << 22
 
+#: Cap on the entries one :class:`PalEntryMemo` holds (~150 bytes each
+#: at ``T = 4``); a full memo is cleared.  Syn A's ``B = 10`` brute-force
+#: grid has 35 646 distinct entries.
+_ENTRY_MEMO_CAPACITY = 1 << 16
+
 
 def subset_table_pays(
     n_orderings: int,
     n_types: int,
     type_limit: int = SUBSET_TABLE_TYPE_LIMIT,
 ) -> bool:
-    """True when the subset table beats per-ordering walks.
+    """True when the eager subset table beats per-ordering walks.
 
     The table costs ``T * 2^(T-1)`` scenario sweeps (plus the ``2^T``
     consumption DP); pricing ``n`` orderings legacy-style costs
     ``n * T`` sweeps.  The table pays once ``n > 2^(T-1)`` — e.g. the
-    full ordering set ``T!`` for every ``T >= 3``.  Above ``type_limit``
-    the mask space itself is the bottleneck and the table never pays.
+    full ordering set ``T!`` for every ``T >= 3``, which is why
+    enumeration and :func:`~repro.core.detection.pal_for_orderings`
+    choose it by this test.  Above ``type_limit`` the mask space itself
+    is the bottleneck and the table never pays.  (CGGS does not use this
+    test: its :class:`LazyPalTable` fills only the entries it visits.)
     """
     if n_types < 3 or n_types > type_limit:
         return False
     return n_orderings > (1 << (n_types - 1))
 
 
+@functools.cache
 def _mask_recursion(n_masks: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(prev, bit)`` of the lowest-set-bit DP, one entry per mask."""
+    """``(prev, bit)`` of the lowest-set-bit DP, one entry per mask.
+
+    Computed once per mask count; the arrays are shared and read-only.
+    """
     prev = np.zeros(n_masks, dtype=np.int64)
     bit = np.zeros(n_masks, dtype=np.int64)
     for mask in range(1, n_masks):
         low = mask & -mask
         prev[mask] = mask ^ low
         bit[mask] = low.bit_length() - 1
+    prev.flags.writeable = False
+    bit.flags.writeable = False
     return prev, bit
+
+
+class _SubsetLayout(NamedTuple):
+    """Per-type-count index constants of a subset-table build.
+
+    ``rows_without[t]`` lists the ``2^(T-1)`` predecessor masks that
+    exclude type ``t``; the arrays below are indexed ``[t, i]`` (and
+    ``[t, i, s]``) over those rows.  ``members`` marks the types ``s``
+    in row ``i``'s mask, ``key_fill`` holds the entry-key sentinels
+    (``-2`` at ``s == t``, ``-1`` at every other non-member) and
+    ``shareable[t, i]`` is False for the one row whose mask holds every
+    type but ``t``.
+    """
+
+    prev: np.ndarray
+    bit: np.ndarray
+    types: np.ndarray
+    rows_without: np.ndarray
+    members: np.ndarray
+    key_fill: np.ndarray
+    shareable: np.ndarray
+
+
+@functools.cache
+def _subset_layout(n_types: int) -> _SubsetLayout:
+    """The read-only :class:`_SubsetLayout` of ``n_types`` types."""
+    n_masks = 1 << n_types
+    masks = np.arange(n_masks)
+    types = np.arange(n_types)
+    rows = np.stack([masks[(masks >> t) & 1 == 0] for t in types])
+    members = (rows[:, :, None] >> types) & 1 == 1
+    key_fill = np.where(
+        types[:, None, None] == types, -2.0, -1.0
+    ).repeat(rows.shape[1], axis=1)
+    shareable = rows != (n_masks - 1) ^ (1 << types)[:, None]
+    for array in (types, rows, members, key_fill, shareable):
+        array.flags.writeable = False
+    return _SubsetLayout(
+        *_mask_recursion(n_masks), types, rows, members, key_fill,
+        shareable,
+    )
+
+
+class PalEntryMemo:
+    """Exact subset-table entries shared by every table of one solver.
+
+    Entry ``table[t, S]`` reads the thresholds only through
+    ``contrib_s = min(b_s, Z_s C_s)`` for ``s`` in ``S`` and the quota
+    ``floor(b_t / C_t)``; everything else it reads (scenarios, costs,
+    budget, zero-count rule, kernel backend, scenario chunking) is
+    fixed for one solver.  So the memo keys an entry by ``(t, S,
+    floor(b_t / C_t), b_S)``, packed as one ``bytes`` string of ``T + 1``
+    float64s: the quota, then ``b_s`` for ``s`` in ``S``, ``-2`` at
+    ``t`` and ``-1`` elsewhere (thresholds are never negative or NaN,
+    so the sentinels cannot collide).  Values are Python floats, each
+    bitwise what a fresh build computes for that key.
+
+    Entries whose ``S`` holds every type but ``t`` are never stored: their
+    key fixes the whole vector, which a solver does not price twice.
+    The memo is cleared before a build's new entries would take it past
+    :data:`_ENTRY_MEMO_CAPACITY`; since every value is exact, eviction
+    changes only speed.
+
+    A memo serves one pricing scope: the first table built through it
+    fixes the scenario set, costs, budget, zero-count rule, kernel
+    backend and scenario chunk, and a table with any other raises
+    ``ValueError``.
+    """
+
+    __slots__ = ("_entries", "_scope")
+
+    def __init__(self) -> None:
+        self._entries: dict[bytes, float] = {}
+        self._scope: tuple | None = None
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def _bind(
+        self,
+        pricer: OrderingPricer,
+        scenario_chunk: int | None,
+        kernel_backend: str,
+    ) -> None:
+        """Fix (first call) or check the pricing scope of this memo."""
+        scope = (
+            pricer.weights,
+            pricer.costs.tobytes(),
+            pricer.budget,
+            pricer.zero_count_rule,
+            kernel_backend,
+            scenario_chunk,
+        )
+        if self._scope is None:
+            self._scope = scope
+        elif scope[0] is not self._scope[0] or scope[1:] != self._scope[1:]:
+            raise ValueError(
+                "PalEntryMemo is bound to another scenario set, cost "
+                "vector, budget, zero-count rule, kernel backend or "
+                "scenario chunk"
+            )
+
+    def _keys(
+        self, pricer: OrderingPricer, layout: _SubsetLayout
+    ) -> list[bytes]:
+        """One packed key per ``(t, row)`` entry, row-major over ``t``."""
+        n_types = pricer.n_types
+        keys = np.empty(layout.members.shape[:2] + (n_types + 1,))
+        keys[:, :, 0] = pricer.quota[:, None]
+        np.copyto(keys[:, :, 1:], layout.key_fill)
+        np.copyto(keys[:, :, 1:], pricer.thresholds, where=layout.members)
+        packed = np.dtype((np.void, keys.itemsize * (n_types + 1)))
+        return keys.view(packed).ravel().tolist()
+
+    def _lookup(self, keys: list[bytes]) -> np.ndarray:
+        """The stored value of each key, NaN where none is stored."""
+        get = self._entries.get
+        return np.array([get(key, np.nan) for key in keys])
+
+    def _store(self, keys: Iterable[bytes], values: np.ndarray) -> None:
+        """Add entries, first clearing a memo they would overfill."""
+        if len(self._entries) + len(values) > _ENTRY_MEMO_CAPACITY:
+            self._entries.clear()
+        self._entries.update(zip(keys, values.tolist()))
 
 
 class PalTable:
@@ -114,9 +265,18 @@ class PalTable:
     (``"auto"`` | ``"numba"`` | ``"numpy"``, see
     :mod:`repro.core.kernels`); all choices build bitwise-identical
     tables.
+
+    :meth:`from_pricer` accepts a :class:`PalEntryMemo`: entries whose
+    key ``(t, S, floor(b_t / C_t), b_S)`` it already holds are copied
+    from it, and only the missing ``(t, rows)`` run the consumption DP
+    and the type sweep, through the same kernels and the same per-row
+    :func:`~repro.core.kernels.expectation_reduce`.  Each row reduces on
+    its own, so a memo-filled table is bitwise the table a fresh build
+    gives.  The enumeration solver shares one memo across every vector
+    it prices.
     """
 
-    __slots__ = ("_pricer", "_table", "_kernel_backend")
+    __slots__ = ("_pricer", "_table", "_kernel_backend", "_memo")
 
     def __init__(
         self,
@@ -135,6 +295,7 @@ class PalTable:
         self._kernel_backend = kernels.resolve_kernel_backend(
             kernel_backend
         )
+        self._memo = None
         self._build(scenario_chunk)
 
     @classmethod
@@ -143,13 +304,16 @@ class PalTable:
         pricer: OrderingPricer,
         scenario_chunk: int | None = None,
         kernel_backend: str = "auto",
+        memo: PalEntryMemo | None = None,
     ) -> "PalTable":
-        """Build from an already-validated :class:`OrderingPricer`."""
+        """Build from an already-validated :class:`OrderingPricer`,
+        reusing (and filling) ``memo``'s entries when one is given."""
         table = object.__new__(cls)
         table._pricer = pricer
         table._kernel_backend = kernels.resolve_kernel_backend(
             kernel_backend
         )
+        table._memo = memo
         table._build(scenario_chunk)
         return table
 
@@ -178,6 +342,10 @@ class PalTable:
                 f"sets (> 2^{SUBSET_TABLE_TYPE_LIMIT}); use the legacy "
                 "per-ordering kernel instead"
             )
+        if scenario_chunk is not None and scenario_chunk < 1:
+            raise ValueError(
+                f"scenario_chunk must be >= 1, got {scenario_chunk}"
+            )
         # Telemetry at the build boundary only — the DP loops below stay
         # obs-free (RPL701).  The span covers the (first-call) JIT
         # compile too, so kernel-build time is observable per backend.
@@ -189,32 +357,65 @@ class PalTable:
             "pal_table.build", types=n_types,
             backend=self._kernel_backend,
         ):
-            self._build_table(scenario_chunk, n_types)
+            computed, reused = self._build_table(scenario_chunk, n_types)
+        obs.counter(
+            "repro_pal_table_entries_total", computed, source="computed"
+        )
+        obs.counter("repro_pal_table_entries_total", reused, source="reused")
 
-    def _build_table(self, scenario_chunk: int | None, n_types: int) -> None:
+    def _build_table(
+        self, scenario_chunk: int | None, n_types: int
+    ) -> tuple[int, int]:
+        """Fill the table; returns ``(computed, reused)`` entry counts."""
+        layout = _subset_layout(n_types)
+        table = np.zeros((n_types, 1 << n_types))
+        memo = self._memo
+        if memo is None:
+            self._sweep(table, layout.rows_without, scenario_chunk, layout)
+            self._table = table
+            return layout.rows_without.size, 0
+        memo._bind(self._pricer, scenario_chunk, self._kernel_backend)
+        keys = memo._keys(self._pricer, layout)
+        known = memo._lookup(keys).reshape(layout.rows_without.shape)
+        missing = np.isnan(known)
+        entries = (layout.types[:, None], layout.rows_without)
+        table[entries] = np.where(missing, 0.0, known)
+        self._sweep(
+            table,
+            [rows[gap] for rows, gap in zip(layout.rows_without, missing)],
+            scenario_chunk,
+            layout,
+        )
+        fresh = (missing & layout.shareable).ravel()
+        memo._store(
+            itertools.compress(keys, fresh), table[entries].ravel()[fresh]
+        )
+        self._table = table
+        computed = int(missing.sum())
+        return computed, missing.size - computed
+
+    def _sweep(
+        self,
+        table: np.ndarray,
+        todo: Sequence[np.ndarray],
+        scenario_chunk: int | None,
+        layout: _SubsetLayout,
+    ) -> None:
+        """Compute ``table[t, todo[t]]`` for every type ``t``."""
         p = self._pricer
         impl = kernels.get_implementation(self._kernel_backend)
-        n_masks = 1 << n_types
+        n_masks = layout.prev.shape[0]
         n_scenarios = p.counts.shape[0]
         if scenario_chunk is None:
             scenario_chunk = max(1, _DP_ELEMENT_BUDGET // n_masks)
-        elif scenario_chunk < 1:
-            raise ValueError(
-                f"scenario_chunk must be >= 1, got {scenario_chunk}"
-            )
-        masks = np.arange(n_masks)
-        rows_without = [
-            masks[(masks >> t) & 1 == 0] for t in range(n_types)
-        ]
-        prev, bit = _mask_recursion(n_masks)
-        n_rows = rows_without[0].shape[0]
-        table = np.zeros((n_types, n_masks))
+        n_rows = max(len(rows) for rows in todo)
         # Working buffers are allocated once per distinct chunk width (at
         # most two: the full width and the final remainder) instead of
         # fresh temporaries per mask and per type — the allocation churn
-        # dominated the numpy path at T=8.  Exact-width buffers keep the
-        # closing reduction on contiguous rows, i.e. on the same numpy
-        # pairwise path as before.
+        # dominated the numpy path at T=8.  Each type sweeps a leading
+        # slice of the row buffer, still C-contiguous, so the closing
+        # reduction runs on contiguous rows, i.e. on the same numpy
+        # pairwise path whatever the number of rows.
         consumed_bufs: dict[int, np.ndarray] = {}
         work_bufs: dict[int, np.ndarray] = {}
         # Chunking the scenario axis bounds the DP working set; the
@@ -236,9 +437,11 @@ class PalTable:
                 work = work_bufs.setdefault(
                     width, np.empty((n_rows, width))
                 )
-            impl.dp_consumed(contrib, prev, bit, consumed)
-            for t in range(n_types):
-                rows = rows_without[t]
+            impl.dp_consumed(contrib, layout.prev, layout.bit, consumed)
+            for t, rows in enumerate(todo):
+                if not len(rows):
+                    continue
+                out = work[:len(rows)]
                 impl.type_products(
                     consumed,
                     rows,
@@ -248,10 +451,9 @@ class PalTable:
                     np.ascontiguousarray(p.zsafe[chunk, t]),
                     weights,
                     float(p.budget),
-                    work,
+                    out,
                 )
-                table[t, rows] += kernels.expectation_reduce(work)
-        self._table = table
+                table[t, rows] += kernels.expectation_reduce(out)
 
     def pal(self, ordering: Ordering | Sequence[int]) -> np.ndarray:
         """``Pal(o, b, .)`` assembled by table lookup.

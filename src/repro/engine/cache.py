@@ -31,7 +31,11 @@ Because enumeration solvers are memoized per ``(backend, options)``
 shares that solver's LP skeleton — the structurally identical master
 LPs of a sweep are assembled from one set of static blocks instead of
 being rebuilt per vector (see
-:class:`repro.solvers.master.MasterSkeleton`).  The deduplicated LP row
+:class:`repro.solvers.master.MasterSkeleton`) — and one subset-table
+entry memo (:class:`repro.core.pal_table.PalEntryMemo`, keyed by ``(t,
+S, floor(b_t / C_t), b_S)`` and capped at ``_ENTRY_MEMO_CAPACITY``
+entries), so each vector's ``PalTable`` sweeps only the entries no
+earlier vector of that solver computed.  The deduplicated LP row
 set underneath is computed once per game
 (:attr:`repro.core.game.AuditGame.representative_rows`), so every
 solver and every vector of that game reads the same arrays.

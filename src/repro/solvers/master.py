@@ -51,7 +51,12 @@ from ..core.detection import (
 )
 from ..core.game import AuditGame
 from ..core.kernels import resolve_kernel_backend
-from ..core.pal_table import LazyPalTable, PalTable, subset_table_pays
+from ..core.pal_table import (
+    LazyPalTable,
+    PalEntryMemo,
+    PalTable,
+    subset_table_pays,
+)
 from ..core.objective import best_responses
 from ..core.policy import AuditPolicy, Ordering
 from ..distributions.joint import ScenarioSet
@@ -154,7 +159,9 @@ class PolicyContext:
     entries computed on first touch — CGGS's choice, whose greedy
     oracle only visits the masks along its construction paths and
     prices every one-type extension of the current prefix in one
-    vectorized sweep via :meth:`extension_utilities`).
+    vectorized sweep via :meth:`extension_utilities`).  ``pal_memo``
+    hands the eager table a :class:`~repro.core.pal_table.PalEntryMemo`
+    shared with the other contexts of one solver.
 
     :attr:`representative_rows` is the game's deduplicated LP row set
     (:attr:`~repro.core.game.AuditGame.representative_rows`), computed
@@ -170,6 +177,7 @@ class PolicyContext:
         *,
         subset_table: bool | str = False,
         kernel_backend: str = "auto",
+        pal_memo: PalEntryMemo | None = None,
     ) -> None:
         self.game = game
         self.scenarios = scenarios
@@ -187,6 +195,7 @@ class PolicyContext:
         # "numba" without the dependency fail here, not mid-solve); the
         # resolved name is what the subset tables are built with.
         self.kernel_backend = resolve_kernel_backend(kernel_backend)
+        self._pal_memo = pal_memo
         self._pricer: OrderingPricer | None = None
         self._table: PalTable | LazyPalTable | None = None
 
@@ -207,14 +216,16 @@ class PolicyContext:
             )
         if self.subset_table:
             if self._table is None:
-                factory = (
-                    LazyPalTable
-                    if self.subset_table == "lazy"
-                    else PalTable
-                )
-                self._table = factory.from_pricer(
-                    self._pricer, kernel_backend=self.kernel_backend
-                )
+                if self.subset_table == "lazy":
+                    self._table = LazyPalTable.from_pricer(
+                        self._pricer, kernel_backend=self.kernel_backend
+                    )
+                else:
+                    self._table = PalTable.from_pricer(
+                        self._pricer,
+                        kernel_backend=self.kernel_backend,
+                        memo=self._pal_memo,
+                    )
             return self._table
         return self._pricer
 
@@ -793,6 +804,7 @@ def batch_policy_contexts(
     *,
     subset_table: bool | None = None,
     kernel_backend: str = "auto",
+    pal_memo: PalEntryMemo | None = None,
 ) -> list[PolicyContext]:
     """One pre-warmed :class:`PolicyContext` per threshold vector.
 
@@ -804,7 +816,11 @@ def batch_policy_contexts(
       :func:`~repro.core.pal_table.subset_table_pays`): each context
       prices through its own per-vector
       :class:`~repro.core.pal_table.PalTable` — exactly the kernel the
-      single-vector solve path uses, hence the exact identity.
+      single-vector solve path uses, hence the exact identity.  Given
+      a ``pal_memo`` (the enumeration solver's), every table copies
+      the entries the memo already holds; memo-filled tables equal
+      fresh builds bitwise (see
+      :class:`~repro.core.pal_table.PalEntryMemo`).
     * **Legacy batched walks** (small ordering sets, e.g. 2-type
       games): the detection vectors for *all* candidate threshold
       vectors are built per ordering in a single vectorized pass
@@ -819,6 +835,8 @@ def batch_policy_contexts(
             f"thresholds batch must have shape (B, {game.n_types}), "
             f"got {arr.shape}"
         )
+    # Validate the whole stack once, before any context or kernel.
+    _check_batch_inputs(arr, scenarios, game.costs, game.budget)
     if subset_table is None:
         subset_table = subset_table_pays(len(orderings), game.n_types)
     if subset_table:
@@ -829,6 +847,7 @@ def batch_policy_contexts(
                 b,
                 subset_table=True,
                 kernel_backend=kernel_backend,
+                pal_memo=pal_memo,
             )
             for b in arr
         ]
@@ -843,7 +862,6 @@ def batch_policy_contexts(
     ]
     if len(arr) == 0:
         return contexts
-    _check_batch_inputs(arr, scenarios, game.costs, game.budget)
     for ordering in orderings:
         pal_rows = pal_for_ordering_batch(
             ordering,

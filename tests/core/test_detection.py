@@ -5,12 +5,17 @@ import pytest
 
 from repro.core import (
     Ordering,
+    OrderingPricer,
     audited_counts,
     pal_for_ordering,
     pal_for_orderings,
     remaining_budget,
 )
+from repro.core.detection import pal_for_ordering_batch
+from repro.datasets import syn_a
 from repro.distributions import ScenarioSet
+from repro.engine import AuditEngine
+from repro.solvers.master import PolicyContext
 
 
 def single_scenario(counts):
@@ -214,3 +219,73 @@ class TestPalForOrderings:
                 [], np.zeros(4), syn_a_scenarios,
                 syn_a_game.costs, 1.0,
             )
+
+
+class TestThresholdValidation:
+    """NaN thresholds fail before any kernel runs; ``+inf`` is valid."""
+
+    NAN = np.array([np.nan, 1.0, 1.0, 1.0])
+
+    def test_ordering_pricer(self, syn_a_game, syn_a_scenarios):
+        with pytest.raises(ValueError, match=r"NaN, got \[nan, 1.0"):
+            OrderingPricer(
+                self.NAN, syn_a_scenarios, syn_a_game.costs,
+                syn_a_game.budget,
+            )
+
+    def test_pal_for_ordering(self, syn_a_game, syn_a_scenarios):
+        with pytest.raises(ValueError, match="NaN"):
+            pal_for_ordering(
+                Ordering((0, 1, 2, 3)), self.NAN, syn_a_scenarios,
+                syn_a_game.costs, syn_a_game.budget,
+            )
+
+    def test_pal_for_ordering_batch(self, syn_a_game, syn_a_scenarios):
+        batch = np.stack([np.ones(4), self.NAN])
+        with pytest.raises(ValueError, match="NaN"):
+            pal_for_ordering_batch(
+                Ordering((0, 1, 2, 3)), batch, syn_a_scenarios,
+                syn_a_game.costs, syn_a_game.budget,
+            )
+
+    @pytest.mark.parametrize("subset_table", [False, True, "lazy"])
+    def test_policy_context(self, syn_a_game, syn_a_scenarios,
+                            subset_table):
+        context = PolicyContext(
+            syn_a_game, syn_a_scenarios, self.NAN,
+            subset_table=subset_table,
+        )
+        with pytest.raises(ValueError, match="NaN"):
+            context.pal(Ordering((0, 1, 2, 3)))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_price_batch(self, workers):
+        with AuditEngine(syn_a(budget=3), workers=workers) as engine:
+            with pytest.raises(ValueError, match="NaN"):
+                engine.price_batch([self.NAN.tolist()])
+
+    def test_negative_message_names_the_thresholds(
+        self, syn_a_game, syn_a_scenarios
+    ):
+        with pytest.raises(ValueError, match=r"non-negative, got \[-1.0"):
+            OrderingPricer(
+                np.array([-1.0, 1.0, 1.0, 1.0]), syn_a_scenarios,
+                syn_a_game.costs, syn_a_game.budget,
+            )
+
+    def test_infinite_threshold_is_accepted(
+        self, syn_a_game, syn_a_scenarios
+    ):
+        b = np.array([np.inf, 1.0, 1.0, 1.0])
+        pricer = OrderingPricer(
+            b, syn_a_scenarios, syn_a_game.costs, syn_a_game.budget
+        )
+        # Quota inf, contribution Z * C: the same as any b_0 >= budget.
+        capped = OrderingPricer(
+            np.array([syn_a_game.budget, 1.0, 1.0, 1.0]),
+            syn_a_scenarios, syn_a_game.costs, syn_a_game.budget,
+        )
+        for o in (Ordering((0, 1, 2, 3)), Ordering((3, 0, 2, 1))):
+            assert np.array_equal(pricer.pal(o), capped.pal(o))
+        result = AuditEngine(syn_a(budget=3)).price_batch([b.tolist()])
+        assert np.isfinite(result[0].objective)
