@@ -13,15 +13,9 @@ sweeps at ``T = 7``.  This bench measures that end to end:
 * **solver level** — ``EnumerationSolver.solve_batch`` over a stack of
   threshold vectors with ``subset_table=True`` versus ``False`` (both
   with scenario compression), checking the objectives agree to 1e-9.
-* **kernel backends** — the same :class:`~repro.core.PalTable` build
-  through the ``kernel_backend`` knob (``numpy`` vs ``numba`` when the
-  ``kernels`` extra is installed), tables checked bitwise-equal.
 
-Acceptance (non-smoke): >= 3x kernel-level speedup at ``T = 6``; with
-numba installed, >= 3x numba-vs-numpy build speedup at ``T = 8``.
-Measured ratios for every grid point land in ``BENCH_pal_kernel.json``
-(the ``kernel_backend`` / ``numba_available`` fields record which
-compiled path produced them).
+Acceptance (non-smoke): >= 3x kernel-level speedup at ``T = 6``.
+Measured ratios for every grid point land in ``BENCH_pal_kernel.json``.
 """
 
 import time
@@ -40,7 +34,6 @@ from repro.core import (
     PayoffModel,
     all_orderings,
 )
-from repro.core.kernels import HAS_NUMBA, resolve_kernel_backend
 from repro.distributions import DiscretizedGaussian, JointCountModel
 from repro.solvers.enumeration import EnumerationSolver
 
@@ -180,8 +173,6 @@ def test_pal_kernel_speedup(benchmark):
         {
             "kernel": records,
             "type_grid": list(type_grid),
-            "kernel_backend": resolve_kernel_backend("auto"),
-            "numba_available": HAS_NUMBA,
         },
     )
     if not smoke_mode():
@@ -273,125 +264,5 @@ def test_enumeration_solver_batch_speedup(benchmark):
             "solve_batch": records,
             "type_grid": list(type_grid),
             "n_vectors": n_vectors,
-        },
-    )
-
-
-def test_kernel_backend_comparison(benchmark):
-    """One PalTable build per ``kernel_backend``, tables bitwise-equal.
-
-    Without the ``kernels`` extra this records the numpy build times
-    alone (CI's smoke rows stay numpy-only by design); with numba
-    importable it times the JIT path against numpy on the same build —
-    compilation happens outside the timed region, since ``cache=True``
-    amortizes it across processes — and enforces the >= 3x acceptance
-    at ``T = 8``.
-    """
-    type_grid = pick(smoke=(4,), fast=(6, 8), full=(6, 8))
-    reps = pick(smoke=1, fast=3, full=5)
-    backends = ["numpy"] + (["numba"] if HAS_NUMBA else [])
-    rows = []
-    records = []
-    speedups = {}
-
-    def sweep():
-        for n_types in type_grid:
-            game = make_game(n_types)
-            exact = game.counts.n_exact_scenarios() <= EXACT_LIMIT
-            scenarios = scenarios_for(game, exact)
-            thresholds = np.minimum(
-                game.threshold_upper_bounds(), game.budget
-            ).astype(np.float64)
-            timings = {}
-            reference = None
-            for backend in backends:
-                if backend == "numba":
-                    # Warm the JIT cache outside the timed region.
-                    PalTable(
-                        thresholds, scenarios, game.costs, game.budget,
-                        kernel_backend=backend,
-                    )
-                best = float("inf")
-                for _ in range(reps):
-                    started = time.perf_counter()
-                    table = PalTable(
-                        thresholds, scenarios, game.costs, game.budget,
-                        kernel_backend=backend,
-                    )
-                    best = min(best, time.perf_counter() - started)
-                timings[backend] = best
-                if reference is None:
-                    reference = table.table.copy()
-                else:
-                    assert np.array_equal(table.table, reference)
-            record = {
-                "n_types": n_types,
-                "n_scenarios": scenarios.n_scenarios,
-                "numpy_seconds": timings["numpy"],
-                "numba_available": HAS_NUMBA,
-            }
-            speedup_text = "n/a"
-            if HAS_NUMBA:
-                speedup = (
-                    timings["numpy"] / timings["numba"]
-                    if timings["numba"]
-                    else float("inf")
-                )
-                speedups[n_types] = speedup
-                record["numba_seconds"] = timings["numba"]
-                record["speedup"] = speedup
-                speedup_text = f"{speedup:.1f}x"
-            records.append(record)
-            rows.append(
-                [
-                    str(n_types),
-                    str(scenarios.n_scenarios),
-                    f"{timings['numpy'] * 1e3:.1f}ms",
-                    (
-                        f"{timings['numba'] * 1e3:.1f}ms"
-                        if HAS_NUMBA
-                        else "not installed"
-                    ),
-                    speedup_text,
-                ]
-            )
-
-    benchmark.pedantic(sweep, rounds=1, iterations=1)
-    emit(
-        "PalTable build — kernel_backend=numpy vs numba",
-        render_table(
-            ["T", "rows", "numpy build", "numba build", "speedup"],
-            rows,
-        ),
-    )
-    _merge_bench_json({"backend_comparison": records})
-    if not smoke_mode() and HAS_NUMBA:
-        assert speedups[8] >= 3.0, (
-            f"expected >= 3x numba speedup at T=8, "
-            f"measured {speedups[8]:.2f}x"
-        )
-
-
-def _merge_bench_json(payload: dict) -> None:
-    """Fold extra sections into BENCH_pal_kernel.json (tests run in
-    file order, so the kernel sweep's record exists by the time this
-    lands; a standalone run still writes a valid record)."""
-    import json
-    import os
-
-    out_dir = os.environ.get("REPRO_BENCH_DIR", ".")
-    path = os.path.join(out_dir, "BENCH_pal_kernel.json")
-    try:
-        with open(path) as handle:
-            record = json.load(handle)
-    except (OSError, ValueError):
-        record = {}
-    record.update(payload)
-    write_bench_json(
-        "pal_kernel",
-        {
-            k: v
-            for k, v in record.items()
-            if k not in ("bench", "smoke", "full")
         },
     )

@@ -37,7 +37,8 @@ class AlertType:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("alert type name must not be empty")
-        if self.audit_cost <= 0:
+        # ``<= 0`` alone is False for NaN.
+        if np.isnan(self.audit_cost) or self.audit_cost <= 0:
             raise ValueError(
                 f"audit cost of {self.name!r} must be positive, "
                 f"got {self.audit_cost}"

@@ -80,7 +80,8 @@ class AuditGame:
                 "payoff and attack-map victim counts disagree: "
                 f"{self.payoffs.n_victims} vs {self.attack_map.n_victims}"
             )
-        if self.budget < 0:
+        # ``< 0`` alone is False for NaN.
+        if np.isnan(self.budget) or self.budget < 0:
             raise ValueError(f"budget must be >= 0, got {self.budget}")
         adversary_names = tuple(self.adversary_names) or tuple(
             f"e{i + 1}" for i in range(self.attack_map.n_adversaries)

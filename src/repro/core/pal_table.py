@@ -27,13 +27,9 @@ versus ordering order), so table rows match the legacy kernel to within
 float accumulation roundoff — ``max |delta Pal| <= 1e-9`` in practice and
 *bit-for-bit* on integer-valued games, where the partial sums are exact.
 
-The elementwise pipelines themselves live in
-:mod:`repro.core.kernels` behind the ``kernel_backend`` knob
-(``auto|numba|numpy``): with numba installed they run as
-``@njit(cache=True)`` machine code, otherwise as the vectorized numpy
-fallback — bitwise-equal either way, because every backend reduces its
-product buffers through the one shared pairwise reduction
-(:func:`~repro.core.kernels.expectation_reduce`).
+The elementwise pipelines themselves live in :mod:`repro.core.kernels`,
+which reduces every product buffer through the one shared pairwise
+reduction (:func:`~repro.core.kernels.expectation_reduce`).
 
 Pricing many threshold vectors against one scenario set (brute force,
 ISHM probes) repeats most entries: ``table[t, S]`` reads the thresholds
@@ -174,12 +170,12 @@ class PalEntryMemo:
     Entry ``table[t, S]`` reads the thresholds only through
     ``contrib_s = min(b_s, Z_s C_s)`` for ``s`` in ``S`` and the quota
     ``floor(b_t / C_t)``; everything else it reads (scenarios, costs,
-    budget, zero-count rule, kernel backend, scenario chunking) is
-    fixed for one solver.  So the memo keys an entry by ``(t, S,
-    floor(b_t / C_t), b_S)``, packed as one ``bytes`` string of ``T + 1``
-    float64s: the quota, then ``b_s`` for ``s`` in ``S``, ``-2`` at
-    ``t`` and ``-1`` elsewhere (thresholds are never negative or NaN,
-    so the sentinels cannot collide).  Values are Python floats, each
+    budget, zero-count rule, scenario chunking) is fixed for one
+    solver.  So the memo keys an entry by ``(t, S, floor(b_t / C_t),
+    b_S)``, packed as one ``bytes`` string of ``T + 1`` float64s: the
+    quota, then ``b_s`` for ``s`` in ``S``, ``-2`` at ``t`` and ``-1``
+    elsewhere (thresholds are never negative or NaN, so the sentinels
+    cannot collide).  Values are Python floats, each
     bitwise what a fresh build computes for that key.
 
     Entries whose ``S`` holds every type but ``t`` are never stored: their
@@ -189,9 +185,8 @@ class PalEntryMemo:
     changes only speed.
 
     A memo serves one pricing scope: the first table built through it
-    fixes the scenario set, costs, budget, zero-count rule, kernel
-    backend and scenario chunk, and a table with any other raises
-    ``ValueError``.
+    fixes the scenario set, costs, budget, zero-count rule and scenario
+    chunk, and a table with any other raises ``ValueError``.
     """
 
     __slots__ = ("_entries", "_scope")
@@ -204,10 +199,7 @@ class PalEntryMemo:
         return len(self._entries)
 
     def _bind(
-        self,
-        pricer: OrderingPricer,
-        scenario_chunk: int | None,
-        kernel_backend: str,
+        self, pricer: OrderingPricer, scenario_chunk: int | None
     ) -> None:
         """Fix (first call) or check the pricing scope of this memo."""
         scope = (
@@ -215,7 +207,6 @@ class PalEntryMemo:
             pricer.costs.tobytes(),
             pricer.budget,
             pricer.zero_count_rule,
-            kernel_backend,
             scenario_chunk,
         )
         if self._scope is None:
@@ -223,8 +214,7 @@ class PalEntryMemo:
         elif scope[0] is not self._scope[0] or scope[1:] != self._scope[1:]:
             raise ValueError(
                 "PalEntryMemo is bound to another scenario set, cost "
-                "vector, budget, zero-count rule, kernel backend or "
-                "scenario chunk"
+                "vector, budget, zero-count rule or scenario chunk"
             )
 
     def _keys(
@@ -261,11 +251,6 @@ class PalTable:
     audited before ``t``; entries with ``t`` in ``mask`` are unused
     (an ordering never revisits a type).
 
-    ``kernel_backend`` selects the compiled-kernel implementation
-    (``"auto"`` | ``"numba"`` | ``"numpy"``, see
-    :mod:`repro.core.kernels`); all choices build bitwise-identical
-    tables.
-
     :meth:`from_pricer` accepts a :class:`PalEntryMemo`: entries whose
     key ``(t, S, floor(b_t / C_t), b_S)`` it already holds are copied
     from it, and only the missing ``(t, rows)`` run the consumption DP
@@ -276,7 +261,7 @@ class PalTable:
     it prices.
     """
 
-    __slots__ = ("_pricer", "_table", "_kernel_backend", "_memo")
+    __slots__ = ("_pricer", "_table", "_memo")
 
     def __init__(
         self,
@@ -287,13 +272,9 @@ class PalTable:
         zero_count_rule: str = "unit",
         *,
         scenario_chunk: int | None = None,
-        kernel_backend: str = "auto",
     ) -> None:
         self._pricer = OrderingPricer(
             thresholds, scenarios, costs, budget, zero_count_rule
-        )
-        self._kernel_backend = kernels.resolve_kernel_backend(
-            kernel_backend
         )
         self._memo = None
         self._build(scenario_chunk)
@@ -303,16 +284,12 @@ class PalTable:
         cls,
         pricer: OrderingPricer,
         scenario_chunk: int | None = None,
-        kernel_backend: str = "auto",
         memo: PalEntryMemo | None = None,
     ) -> "PalTable":
         """Build from an already-validated :class:`OrderingPricer`,
         reusing (and filling) ``memo``'s entries when one is given."""
         table = object.__new__(cls)
         table._pricer = pricer
-        table._kernel_backend = kernels.resolve_kernel_backend(
-            kernel_backend
-        )
         table._memo = memo
         table._build(scenario_chunk)
         return table
@@ -320,11 +297,6 @@ class PalTable:
     @property
     def n_types(self) -> int:
         return self._pricer.n_types
-
-    @property
-    def kernel_backend(self) -> str:
-        """The resolved kernel backend this table was built with."""
-        return self._kernel_backend
 
     @property
     def table(self) -> np.ndarray:
@@ -347,16 +319,9 @@ class PalTable:
                 f"scenario_chunk must be >= 1, got {scenario_chunk}"
             )
         # Telemetry at the build boundary only — the DP loops below stay
-        # obs-free (RPL701).  The span covers the (first-call) JIT
-        # compile too, so kernel-build time is observable per backend.
-        obs.counter(
-            "repro_kernel_builds_total", backend=self._kernel_backend
-        )
+        # obs-free (RPL701).
         obs.counter("repro_pal_table_builds_total")
-        with obs.span(
-            "pal_table.build", types=n_types,
-            backend=self._kernel_backend,
-        ):
+        with obs.span("pal_table.build", types=n_types):
             computed, reused = self._build_table(scenario_chunk, n_types)
         obs.counter(
             "repro_pal_table_entries_total", computed, source="computed"
@@ -374,7 +339,7 @@ class PalTable:
             self._sweep(table, layout.rows_without, scenario_chunk, layout)
             self._table = table
             return layout.rows_without.size, 0
-        memo._bind(self._pricer, scenario_chunk, self._kernel_backend)
+        memo._bind(self._pricer, scenario_chunk)
         keys = memo._keys(self._pricer, layout)
         known = memo._lookup(keys).reshape(layout.rows_without.shape)
         missing = np.isnan(known)
@@ -403,7 +368,6 @@ class PalTable:
     ) -> None:
         """Compute ``table[t, todo[t]]`` for every type ``t``."""
         p = self._pricer
-        impl = kernels.get_implementation(self._kernel_backend)
         n_masks = layout.prev.shape[0]
         n_scenarios = p.counts.shape[0]
         if scenario_chunk is None:
@@ -437,12 +401,12 @@ class PalTable:
                 work = work_bufs.setdefault(
                     width, np.empty((n_rows, width))
                 )
-            impl.dp_consumed(contrib, layout.prev, layout.bit, consumed)
+            kernels.dp_consumed(contrib, layout.prev, layout.bit, consumed)
             for t, rows in enumerate(todo):
                 if not len(rows):
                     continue
                 out = work[:len(rows)]
-                impl.type_products(
+                kernels.type_products(
                     consumed,
                     rows,
                     float(p.costs[t]),
@@ -507,15 +471,14 @@ class LazyPalTable:
     Every elementwise operation and the closing pairwise expectation
     reduction mirror :meth:`PalTable._build` entry for entry, so lazy
     and eager tables agree bitwise; only the set of *computed* entries
-    differs.  The per-mask fills ride the same compiled primitives as
-    the eager build (:mod:`repro.core.kernels`, selected by the same
-    ``kernel_backend`` knob).  Because no ``2^T`` array is ever
-    allocated, this variant has no :data:`SUBSET_TABLE_TYPE_LIMIT` —
-    memory scales with the masks actually visited.
+    differs.  The per-mask fills run the same numpy pipelines as the
+    eager build (:mod:`repro.core.kernels`).  Because no ``2^T`` array
+    is ever allocated, this variant has no
+    :data:`SUBSET_TABLE_TYPE_LIMIT` — memory scales with the masks
+    actually visited.
     """
 
-    __slots__ = ("_pricer", "_consumed", "_rows", "_entries",
-                 "_kernel_backend")
+    __slots__ = ("_pricer", "_consumed", "_rows", "_entries")
 
     def __init__(
         self,
@@ -524,29 +487,17 @@ class LazyPalTable:
         costs: np.ndarray,
         budget: float,
         zero_count_rule: str = "unit",
-        *,
-        kernel_backend: str = "auto",
     ) -> None:
         self._pricer = OrderingPricer(
             thresholds, scenarios, costs, budget, zero_count_rule
         )
-        self._kernel_backend = kernels.resolve_kernel_backend(
-            kernel_backend
-        )
         self._init_caches()
 
     @classmethod
-    def from_pricer(
-        cls,
-        pricer: OrderingPricer,
-        kernel_backend: str = "auto",
-    ) -> "LazyPalTable":
+    def from_pricer(cls, pricer: OrderingPricer) -> "LazyPalTable":
         """Build from an already-validated :class:`OrderingPricer`."""
         table = object.__new__(cls)
         table._pricer = pricer
-        table._kernel_backend = kernels.resolve_kernel_backend(
-            kernel_backend
-        )
         table._init_caches()
         return table
 
@@ -558,11 +509,6 @@ class LazyPalTable:
     @property
     def n_types(self) -> int:
         return self._pricer.n_types
-
-    @property
-    def kernel_backend(self) -> str:
-        """The resolved kernel backend used for sweep fills."""
-        return self._kernel_backend
 
     def _consumed_for(self, mask: int) -> np.ndarray:
         """Per-scenario budget consumed by the types in ``mask``.
@@ -576,16 +522,9 @@ class LazyPalTable:
             if mask == 0:
                 cached = np.zeros(self._pricer.counts.shape[0])
             else:
-                impl = kernels.get_implementation(self._kernel_backend)
                 low = mask & -mask
-                prev = self._consumed_for(mask ^ low)
-                cached = np.empty_like(prev)
-                impl.consumed_step(
-                    prev,
-                    np.ascontiguousarray(
-                        self._pricer.contrib[:, low.bit_length() - 1]
-                    ),
-                    cached,
+                cached = self._consumed_for(mask ^ low) + (
+                    self._pricer.contrib[:, low.bit_length() - 1]
                 )
             self._consumed[mask] = cached
         return cached
@@ -607,14 +546,13 @@ class LazyPalTable:
         row = self._rows.get(mask)
         if row is None:
             p = self._pricer
-            impl = kernels.get_implementation(self._kernel_backend)
             free = [
                 t for t in range(p.n_types) if not (mask >> t) & 1
             ]
             free_idx = np.asarray(free, dtype=np.int64)
             consumed = self._consumed_for(mask)
             products = np.empty((len(free), consumed.shape[0]))
-            impl.extension_products(
+            kernels.extension_products(
                 consumed,
                 np.ascontiguousarray(p.costs[free_idx]),
                 np.ascontiguousarray(p.quota[free_idx]),

@@ -194,8 +194,6 @@ def _solve_enumeration(
         extra["max_orderings"] = config.max_orderings
     if config.subset_table is not None:
         extra["subset_table"] = config.subset_table
-    if config.kernel_backend != "auto":
-        extra["kernel_backend"] = config.kernel_backend
     if not config.compress:
         extra["compress"] = config.compress
     if config.prune:
@@ -243,7 +241,6 @@ def _solve_cggs(
         reduced_cost_tol=config.reduced_cost_tol,
         warm_start_pool=config.warm_start_pool,
         subset_table=config.subset_table,
-        kernel_backend=config.kernel_backend,
         warm_start=config.warm_start,
     )(thresholds)
     return finalize_result(

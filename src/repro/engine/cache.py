@@ -20,11 +20,11 @@ identical to what a cold engine would compute.
 Beyond the single-vector :meth:`FixedSolveCache.solver` closure, the
 cache exposes batched pricing: :meth:`FixedSolveCache.batch_solver` /
 :meth:`FixedSolveCache.price_batch` dedupe a ``(B, T)`` stack of
-candidate vectors against the memo, build the remaining detection
-kernels vectorized, and — for the deterministic enumeration method with
-``workers > 1`` — fan the leftover master LP solves out over a process
-pool (:mod:`repro.engine.parallel`).  Results come back in input order
-and are bit-for-bit identical to the ``workers=1`` serial path.
+candidate vectors against the memo and — for the deterministic
+enumeration method with ``workers > 1`` — fan the leftover master solves
+out over a process pool (:mod:`repro.engine.parallel`).  Results come
+back in input order and are bit-for-bit identical to the ``workers=1``
+serial path.
 
 Because enumeration solvers are memoized per ``(backend, options)``
 (here and inside each pool worker), every vector priced through one

@@ -142,13 +142,6 @@ class SolverConfig:
                     f"unknown LP backend {kwargs['backend']!r}; "
                     f"choose from {available_backends()}"
                 )
-        if "kernel_backend" in kwargs:
-            from ..core.kernels import resolve_kernel_backend
-
-            # Validation only (typos and kernel_backend=numba without
-            # the dependency fail at configuration time); the knob
-            # itself is stored verbatim so configs echo what was asked.
-            resolve_kernel_backend(str(kwargs["kernel_backend"]))
         return cls(**kwargs)
 
     def replace(self, **changes: object) -> "SolverConfig":
@@ -220,14 +213,10 @@ class EnumerationConfig(_FixedThresholdConfig):
     per-ordering reference kernel.  ``prune=true`` additionally drops
     dominated rows/columns from each master LP before solving (lossless;
     off by default so cached solutions stay bitwise comparable).
-    ``kernel_backend`` selects the compiled-kernel implementation for
-    the subset tables (``auto``/``numba``/``numpy``, see
-    :mod:`repro.core.kernels`); all choices are bitwise interchangeable.
     """
 
     max_orderings: int = 5040
     subset_table: bool | None = None
-    kernel_backend: str = "auto"
     compress: bool = True
     prune: bool = False
 
@@ -241,16 +230,13 @@ class CGGSConfig(_FixedThresholdConfig):
     force the lazy/eager table, ``false`` pins the legacy per-candidate
     walk.  ``warm_start`` re-enters master re-solves from the previous
     optimal basis on warm-capable LP backends (``backend=simplex``);
-    the scipy/HiGHS backend always cold-solves.  ``kernel_backend``
-    selects the compiled-kernel implementation for the subset tables
-    (``auto``/``numba``/``numpy``, see :mod:`repro.core.kernels`).
+    the scipy/HiGHS backend always cold-solves.
     """
 
     max_columns: int = 200
     reduced_cost_tol: float = 1e-7
     warm_start_pool: int = 48
     subset_table: bool | str | None = None
-    kernel_backend: str = "auto"
     warm_start: bool = True
 
 

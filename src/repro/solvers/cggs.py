@@ -44,7 +44,6 @@ import numpy as np
 
 from .. import obs
 from ..core.game import AuditGame
-from ..core.kernels import resolve_kernel_backend
 from ..core.policy import Ordering, random_ordering
 from ..distributions.joint import ScenarioSet
 from .master import (
@@ -85,7 +84,6 @@ class CGGSSolver:
         seed_orderings: tuple[Ordering, ...] = (),
         warm_start_pool: int = 48,
         subset_table: bool | str | None = None,
-        kernel_backend: str = "auto",
         warm_start: bool = True,
     ) -> None:
         self.game = game
@@ -105,7 +103,6 @@ class CGGSSolver:
             # visited masks), so the auto rule has no upper type cap.
             subset_table = "lazy" if game.n_types >= 3 else False
         self.subset_table = _coerce_subset_table(subset_table)
-        self.kernel_backend = resolve_kernel_backend(kernel_backend)
         self.warm_start = bool(warm_start)
 
     # ------------------------------------------------------------------
@@ -117,7 +114,6 @@ class CGGSSolver:
             self.scenarios,
             thresholds,
             subset_table=self.subset_table,
-            kernel_backend=self.kernel_backend,
         )
         master = MasterProblem(
             context, backend=self.backend, warm_start=self.warm_start

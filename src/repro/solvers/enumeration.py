@@ -37,8 +37,8 @@ import math
 
 import numpy as np
 
+from ..core.detection import _check_batch_inputs
 from ..core.game import AuditGame
-from ..core.kernels import resolve_kernel_backend
 from ..core.pal_table import PalEntryMemo, subset_table_pays
 from ..core.policy import all_orderings
 from ..distributions.joint import ScenarioSet
@@ -47,7 +47,6 @@ from .master import (
     MasterProblem,
     MasterSkeleton,
     PolicyContext,
-    batch_policy_contexts,
 )
 
 __all__ = ["EnumerationSolver", "DEFAULT_MAX_ORDERINGS"]
@@ -67,11 +66,6 @@ class EnumerationSolver:
         it whenever the table amortizes (every ``|T| >= 3`` game here,
         since the full ``|T|!`` set is always priced); the legacy walk
         remains available via ``False`` as the bitwise reference.
-    kernel_backend:
-        Compiled-kernel selection for the subset tables
-        (``"auto"`` | ``"numba"`` | ``"numpy"``, see
-        :mod:`repro.core.kernels`); all choices price bitwise
-        identically.
     compress:
         Deduplicate identical scenario rows (weight-aggregating) once at
         construction.  Exactly-enumerated sets are duplicate-free and
@@ -91,7 +85,6 @@ class EnumerationSolver:
         backend: str = "scipy",
         max_orderings: int = DEFAULT_MAX_ORDERINGS,
         subset_table: bool | None = None,
-        kernel_backend: str = "auto",
         compress: bool = True,
         prune: bool = False,
     ) -> None:
@@ -108,7 +101,6 @@ class EnumerationSolver:
         if subset_table is None:
             subset_table = subset_table_pays(n_orderings, game.n_types)
         self.subset_table = bool(subset_table)
-        self.kernel_backend = resolve_kernel_backend(kernel_backend)
         self.prune = bool(prune)
         # Shared across every solve of this instance: the skeleton
         # depends on the game's deduplicated LP rows and the (fixed)
@@ -121,29 +113,18 @@ class EnumerationSolver:
 
     def solve(self, thresholds: np.ndarray) -> FixedThresholdSolution:
         """Optimal restricted-strategy-space mixed policy for ``b``."""
-        return self._solve_context(
-            PolicyContext(
-                self.game,
-                self.scenarios,
-                thresholds,
-                subset_table=self.subset_table,
-                kernel_backend=self.kernel_backend,
-                pal_memo=self._pal_memo,
-            )
-        )
+        return self._solve_context(self._context(thresholds))
 
     def solve_batch(
         self, thresholds_batch: np.ndarray
     ) -> list[FixedThresholdSolution]:
-        """Price a ``(B, T)`` stack of threshold vectors in one pass.
+        """Price a ``(B, T)`` stack of threshold vectors.
 
-        The detection kernels for all vectors are built batched (one
-        subset table per vector, or one vectorized legacy sweep per
-        ordering — matching whatever :meth:`solve` uses); the per-vector
-        master LPs then run on the pre-warmed contexts, all sharing this
-        solver's LP skeleton.  Results are returned in input order and
-        are bit-for-bit identical to ``[solve(b) for b in batch]`` — the
-        parallel pricing layer depends on that identity.
+        The whole stack is validated once, before any vector is priced;
+        each vector then runs the same context and master LP as
+        :meth:`solve`, so results (in input order) are bit-for-bit
+        identical to ``[solve(b) for b in batch]`` — the parallel
+        pricing layer depends on that identity.
         """
         arr = np.asarray(thresholds_batch, dtype=np.float64)
         if arr.ndim != 2:
@@ -152,16 +133,19 @@ class EnumerationSolver:
             )
         if arr.shape[0] == 0:
             return []
-        contexts = batch_policy_contexts(
+        _check_batch_inputs(
+            arr, self.scenarios, self.game.costs, self.game.budget
+        )
+        return [self._solve_context(self._context(b)) for b in arr]
+
+    def _context(self, thresholds: np.ndarray) -> PolicyContext:
+        return PolicyContext(
             self.game,
             self.scenarios,
-            arr,
-            self._orderings,
+            thresholds,
             subset_table=self.subset_table,
-            kernel_backend=self.kernel_backend,
             pal_memo=self._pal_memo,
         )
-        return [self._solve_context(context) for context in contexts]
 
     def _solve_context(
         self, context: PolicyContext

@@ -44,19 +44,9 @@ from typing import Sequence
 import numpy as np
 
 from .. import faults, obs
-from ..core.detection import (
-    OrderingPricer,
-    _check_batch_inputs,
-    pal_for_ordering_batch,
-)
+from ..core.detection import OrderingPricer
 from ..core.game import AuditGame
-from ..core.kernels import resolve_kernel_backend
-from ..core.pal_table import (
-    LazyPalTable,
-    PalEntryMemo,
-    PalTable,
-    subset_table_pays,
-)
+from ..core.pal_table import LazyPalTable, PalEntryMemo, PalTable
 from ..core.objective import best_responses
 from ..core.policy import AuditPolicy, Ordering
 from ..distributions.joint import ScenarioSet
@@ -74,7 +64,6 @@ __all__ = [
     "MasterProblem",
     "MasterSkeleton",
     "FixedThresholdSolution",
-    "batch_policy_contexts",
 ]
 
 
@@ -176,7 +165,6 @@ class PolicyContext:
         thresholds: np.ndarray,
         *,
         subset_table: bool | str = False,
-        kernel_backend: str = "auto",
         pal_memo: PalEntryMemo | None = None,
     ) -> None:
         self.game = game
@@ -191,10 +179,6 @@ class PolicyContext:
         self._utility_cache: dict[tuple[int, ...], np.ndarray] = {}
         self._costs = game.costs
         self.subset_table = _coerce_subset_table(subset_table)
-        # Validate the knob at construction time (typos and an explicit
-        # "numba" without the dependency fail here, not mid-solve); the
-        # resolved name is what the subset tables are built with.
-        self.kernel_backend = resolve_kernel_backend(kernel_backend)
         self._pal_memo = pal_memo
         self._pricer: OrderingPricer | None = None
         self._table: PalTable | LazyPalTable | None = None
@@ -217,14 +201,10 @@ class PolicyContext:
         if self.subset_table:
             if self._table is None:
                 if self.subset_table == "lazy":
-                    self._table = LazyPalTable.from_pricer(
-                        self._pricer, kernel_backend=self.kernel_backend
-                    )
+                    self._table = LazyPalTable.from_pricer(self._pricer)
                 else:
                     self._table = PalTable.from_pricer(
-                        self._pricer,
-                        kernel_backend=self.kernel_backend,
-                        memo=self._pal_memo,
+                        self._pricer, memo=self._pal_memo
                     )
             return self._table
         return self._pricer
@@ -243,10 +223,9 @@ class PolicyContext:
     ) -> None:
         """Pre-fill the ``Pal`` cache for one ordering.
 
-        Batched pricing computes detection vectors for many threshold
-        vectors in one pass (:func:`batch_policy_contexts`) and plants
-        each row here, so the master solve that follows never re-enters
-        the per-ordering kernel.
+        The CGGS table oracle assembles the chosen ordering's detection
+        row while it builds the ordering and plants it here, so the
+        master solve that follows never re-enters the kernel.
         """
         self._pal_cache[tuple(ordering)] = np.asarray(
             pal, dtype=np.float64
@@ -794,84 +773,3 @@ class MasterProblem:
             solution.dual_eq[0]
         )
         return duals, y_eq
-
-
-def batch_policy_contexts(
-    game: AuditGame,
-    scenarios: ScenarioSet,
-    thresholds_batch: np.ndarray,
-    orderings: Sequence[Ordering],
-    *,
-    subset_table: bool | None = None,
-    kernel_backend: str = "auto",
-    pal_memo: PalEntryMemo | None = None,
-) -> list[PolicyContext]:
-    """One pre-warmed :class:`PolicyContext` per threshold vector.
-
-    Two batched pricing strategies, both producing contexts whose master
-    solves are bit-for-bit identical to cold single-vector solves:
-
-    * **Subset tables** (``subset_table=True``, the auto choice whenever
-      the ordering set is large enough to amortize the build — see
-      :func:`~repro.core.pal_table.subset_table_pays`): each context
-      prices through its own per-vector
-      :class:`~repro.core.pal_table.PalTable` — exactly the kernel the
-      single-vector solve path uses, hence the exact identity.  Given
-      a ``pal_memo`` (the enumeration solver's), every table copies
-      the entries the memo already holds; memo-filled tables equal
-      fresh builds bitwise (see
-      :class:`~repro.core.pal_table.PalEntryMemo`).
-    * **Legacy batched walks** (small ordering sets, e.g. 2-type
-      games): the detection vectors for *all* candidate threshold
-      vectors are built per ordering in a single vectorized pass
-      (:func:`~repro.core.detection.pal_for_ordering_batch`, validated
-      once for the whole pass) and planted into the per-vector caches;
-      the batched walk shares the serial kernel's pairwise expectation
-      reduction, so the seeded rows equal the serial rows bitwise.
-    """
-    arr = np.asarray(thresholds_batch, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != game.n_types:
-        raise ValueError(
-            f"thresholds batch must have shape (B, {game.n_types}), "
-            f"got {arr.shape}"
-        )
-    # Validate the whole stack once, before any context or kernel.
-    _check_batch_inputs(arr, scenarios, game.costs, game.budget)
-    if subset_table is None:
-        subset_table = subset_table_pays(len(orderings), game.n_types)
-    if subset_table:
-        return [
-            PolicyContext(
-                game,
-                scenarios,
-                b,
-                subset_table=True,
-                kernel_backend=kernel_backend,
-                pal_memo=pal_memo,
-            )
-            for b in arr
-        ]
-    contexts = [
-        PolicyContext(
-            game,
-            scenarios,
-            b,
-            kernel_backend=kernel_backend,
-        )
-        for b in arr
-    ]
-    if len(arr) == 0:
-        return contexts
-    for ordering in orderings:
-        pal_rows = pal_for_ordering_batch(
-            ordering,
-            arr,
-            scenarios,
-            game.costs,
-            game.budget,
-            game.zero_count_rule,
-            validate=False,
-        )
-        for context, row in zip(contexts, pal_rows, strict=True):
-            context.seed_pal(ordering, row)
-    return contexts

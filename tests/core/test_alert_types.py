@@ -22,6 +22,10 @@ class TestAlertType:
         with pytest.raises(ValueError):
             AlertType("x", audit_cost=-1.0)
 
+    def test_rejects_nan_cost(self):
+        with pytest.raises(ValueError, match="must be positive, got nan"):
+            AlertType("x", audit_cost=float("nan"))
+
     def test_frozen(self):
         t = AlertType("x")
         with pytest.raises(AttributeError):

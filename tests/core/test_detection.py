@@ -11,10 +11,11 @@ from repro.core import (
     pal_for_orderings,
     remaining_budget,
 )
-from repro.core.detection import pal_for_ordering_batch
+from repro.core.detection import _check_batch_inputs
 from repro.datasets import syn_a
 from repro.distributions import ScenarioSet
 from repro.engine import AuditEngine
+from repro.solvers.enumeration import EnumerationSolver
 from repro.solvers.master import PolicyContext
 
 
@@ -240,13 +241,11 @@ class TestThresholdValidation:
                 syn_a_game.costs, syn_a_game.budget,
             )
 
-    def test_pal_for_ordering_batch(self, syn_a_game, syn_a_scenarios):
+    def test_solve_batch(self, syn_a_game, syn_a_scenarios):
+        solver = EnumerationSolver(syn_a_game, syn_a_scenarios)
         batch = np.stack([np.ones(4), self.NAN])
         with pytest.raises(ValueError, match="NaN"):
-            pal_for_ordering_batch(
-                Ordering((0, 1, 2, 3)), batch, syn_a_scenarios,
-                syn_a_game.costs, syn_a_game.budget,
-            )
+            solver.solve_batch(batch)
 
     @pytest.mark.parametrize("subset_table", [False, True, "lazy"])
     def test_policy_context(self, syn_a_game, syn_a_scenarios,
@@ -289,3 +288,34 @@ class TestThresholdValidation:
             assert np.array_equal(pricer.pal(o), capped.pal(o))
         result = AuditEngine(syn_a(budget=3)).price_batch([b.tolist()])
         assert np.isfinite(result[0].objective)
+
+
+class TestCostAndBudgetValidation:
+    """NaN budgets and audit costs fail like negative ones."""
+
+    NAN = float("nan")
+
+    def test_pal_for_ordering_rejects_nan_budget(self, syn_a_scenarios):
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            pal_for_ordering(
+                Ordering((0, 1, 2, 3)), np.ones(4), syn_a_scenarios,
+                np.ones(4), self.NAN,
+            )
+
+    def test_pal_for_ordering_rejects_nan_cost(self, syn_a_scenarios):
+        costs = np.array([1.0, self.NAN, 1.0, 1.0])
+        with pytest.raises(ValueError, match="costs must be positive"):
+            pal_for_ordering(
+                Ordering((0, 1, 2, 3)), np.ones(4), syn_a_scenarios,
+                costs, 3.0,
+            )
+
+    def test_batch_check_rejects_nan_budget_and_cost(
+        self, syn_a_scenarios
+    ):
+        batch = np.ones((2, 4))
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            _check_batch_inputs(batch, syn_a_scenarios, np.ones(4), self.NAN)
+        costs = np.array([1.0, 1.0, self.NAN, 1.0])
+        with pytest.raises(ValueError, match="costs must be positive"):
+            _check_batch_inputs(batch, syn_a_scenarios, costs, 3.0)

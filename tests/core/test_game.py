@@ -43,6 +43,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_tiny_game(budget=-1.0)
 
+    def test_rejects_nan_budget(self, tiny_game):
+        with pytest.raises(ValueError, match="got nan"):
+            make_tiny_game(budget=float("nan"))
+        with pytest.raises(ValueError, match="got nan"):
+            tiny_game.with_budget(float("nan"))
+
     def test_rejects_wrong_name_counts(self, tiny_game):
         with pytest.raises(ValueError, match="adversary_names"):
             AuditGame(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    LazyPalTable,
     Ordering,
     OrderingPricer,
     PalTable,
@@ -103,6 +104,26 @@ class TestSubsetTableEquivalence:
         table = PalTable.from_pricer(pricer)
         for o in all_orderings(4):
             assert np.array_equal(table.pal(o), pricer.pal(o))
+
+
+class TestLazyTable:
+    """The lazy table computes the eager table's entries bitwise."""
+
+    @pytest.mark.parametrize("n_types", [3, 4, 5])
+    @pytest.mark.parametrize("rule", ["unit", "strict"])
+    def test_matches_eager_bitwise_on_random_game(self, rng, n_types, rule):
+        b, sc, costs, budget = random_world(rng, n_types)
+        eager = PalTable(b, sc, costs, budget, rule)
+        lazy = LazyPalTable(b, sc, costs, budget, rule)
+        for o in all_orderings(n_types):
+            assert np.array_equal(lazy.pal(o), eager.pal(o))
+        fresh = LazyPalTable(b, sc, costs, budget, rule)
+        for mask in range(1 << n_types):
+            free = [t for t in range(n_types) if not (mask >> t) & 1]
+            assert np.array_equal(
+                fresh.extension_values(mask, free),
+                eager.extension_values(mask, free),
+            )
 
 
 class TestPalForOrderingsDispatch:

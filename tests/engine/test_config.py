@@ -5,6 +5,7 @@ import pytest
 from repro.engine import (
     BruteForceConfig,
     CGGSConfig,
+    EnumerationConfig,
     ISHMConfig,
     RandomOrderConfig,
     SolverConfig,
@@ -55,6 +56,9 @@ class TestFromDict:
     def test_unknown_key_lists_options(self):
         with pytest.raises(ValueError, match="step_size"):
             ISHMConfig.from_dict({"stepsize": "0.1"})
+        for cls in (EnumerationConfig, CGGSConfig):
+            with pytest.raises(ValueError, match="no option 'kernel_backend'"):
+                cls.from_dict({"kernel_backend": "numpy"})
 
 
 class TestMakeConfig:

@@ -1,4 +1,4 @@
-"""AuditEngine caching behavior, overrides, and the deprecated shims."""
+"""AuditEngine caching behavior, overrides, and native raw results."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,7 @@ from repro.engine.cache import FixedSolveCache
 from repro.solvers import (
     BruteForceResult,
     ISHMResult,
-    iterative_shrink,
-    solve_optimal,
+    run_iterative_shrink,
 )
 
 
@@ -179,28 +178,27 @@ class TestFixedSolveCacheUnit:
         )
 
 
-class TestDeprecatedShims:
-    def test_iterative_shrink_warns_and_delegates(
+class TestRawResults:
+    def test_ishm_raw_is_native_result(self, tiny_game, tiny_scenarios):
+        result = AuditEngine(tiny_game).solve(
+            "ishm", step_size=0.5, scenarios=tiny_scenarios
+        )
+        assert isinstance(result.raw, ISHMResult)
+
+    def test_bruteforce_raw_is_native_result(
         self, tiny_game, tiny_scenarios
     ):
-        with pytest.deprecated_call():
-            result = iterative_shrink(
-                tiny_game, tiny_scenarios, step_size=0.5
-            )
-        assert isinstance(result, ISHMResult)
+        result = AuditEngine(tiny_game).solve(
+            "bruteforce", scenarios=tiny_scenarios
+        )
+        assert isinstance(result.raw, BruteForceResult)
 
-    def test_solve_optimal_warns_and_delegates(
+    def test_run_iterative_shrink_matches_engine(
         self, tiny_game, tiny_scenarios
     ):
-        with pytest.deprecated_call():
-            result = solve_optimal(tiny_game, tiny_scenarios)
-        assert isinstance(result, BruteForceResult)
-
-    def test_shim_matches_engine(self, tiny_game, tiny_scenarios):
-        with pytest.deprecated_call():
-            legacy = iterative_shrink(
-                tiny_game, tiny_scenarios, step_size=0.5
-            )
+        legacy = run_iterative_shrink(
+            tiny_game, tiny_scenarios, step_size=0.5
+        )
         modern = AuditEngine(tiny_game).solve(
             "ishm", step_size=0.5, scenarios=tiny_scenarios
         )
